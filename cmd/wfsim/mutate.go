@@ -66,7 +66,7 @@ func cmdAdd(args []string) error {
 		return err
 	}
 	fmt.Printf("added %d workflows: %d total at generation %d, written to %s\n",
-		len(muts), eng.Repository().Size(), gen, target)
+		len(muts), eng.Size(), gen, target)
 	return nil
 }
 
@@ -104,6 +104,6 @@ func cmdRm(args []string) error {
 		return err
 	}
 	fmt.Printf("removed %d workflows: %d remain at generation %d, written to %s\n",
-		len(muts), eng.Repository().Size(), gen, target)
+		len(muts), eng.Size(), gen, target)
 	return nil
 }

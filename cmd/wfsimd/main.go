@@ -59,7 +59,7 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	corpusPath := fs.String("corpus", "", "corpus JSON to serve (empty repository when omitted)")
 	dataDir := fs.String("data", "", "data directory for durable storage (RAM-only when omitted)")
-	shards := fs.Int("shards", 1, "partition the corpus across N in-process shards (1 = single engine)")
+	shards := fs.Int("shards", 1, "partition the corpus across N in-process shards (1 = one shard over a flat data directory)")
 	compactBytes := fs.Int64("compact-bytes", 0, "compact the mutation log past this many bytes (0 = default 8 MiB)")
 	compactRecords := fs.Int("compact-records", 0, "compact the mutation log past this many records (0 = default 4096)")
 	useIndex := fs.Bool("index", false, "enable filter-and-refine inverted-index acceleration")
@@ -102,12 +102,9 @@ func run(args []string) error {
 		}
 	}
 
-	var opts []wfsim.Option
-	if *shards != 1 {
-		// Engine construction validates the count and, with -data, refuses a
-		// directory initialised under a different shard count.
-		opts = append(opts, wfsim.WithShards(*shards))
-	}
+	// Engine construction validates the shard count and, with -data,
+	// refuses a directory initialised under a different one.
+	opts := []wfsim.Option{wfsim.WithShards(*shards)}
 	if *dataDir != "" {
 		opts = append(opts, wfsim.WithStorage(*dataDir,
 			wfsim.StorageCompaction(*compactBytes, *compactRecords),

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -282,8 +283,10 @@ func (r *Repository) removeLocked(id string) error {
 	for i, wf := range r.workflows {
 		if wf.ID == id {
 			// The mutable slice is never shared with snapshots (Snapshot
-			// copies it), so shifting in place is safe.
-			r.workflows = append(r.workflows[:i], r.workflows[i+1:]...)
+			// copies it), so shifting in place is safe; slices.Delete also
+			// clears the vacated tail slot, so a removed workflow is not
+			// kept reachable through the backing array.
+			r.workflows = slices.Delete(r.workflows, i, i+1)
 			break
 		}
 	}

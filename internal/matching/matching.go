@@ -10,7 +10,10 @@
 // information and would only distort additive scores.
 package matching
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Pair maps left element I to right element J with similarity Weight.
 type Pair struct {
@@ -41,6 +44,16 @@ func (w Weights) Dims() (int, int) {
 		return 0, 0
 	}
 	return len(w), len(w[0])
+}
+
+// Rows views the row-major n×m buffer w as a Weights matrix sharing its
+// storage.
+func Rows(w []float64, n, m int) Weights {
+	rows := make(Weights, n)
+	for i := range rows {
+		rows[i] = w[i*m : (i+1)*m : (i+1)*m]
+	}
+	return rows
 }
 
 // Greedy computes a matching by repeatedly selecting the highest-weight
@@ -174,6 +187,128 @@ func MaxWeight(w Weights) Matching {
 	}
 	sortMatching(out)
 	return out
+}
+
+// hungarian is the reusable scratch of MaxWeightTotal: the potentials, the
+// column assignment, the augmenting-path links, the per-row slack and
+// visited marks, and the row-to-column map of the final assignment.
+type hungarian struct {
+	u, v, minv []float64
+	p, way     []int
+	used       []bool
+	colOf      []int
+}
+
+var hungarianPool = sync.Pool{New: func() any { return new(hungarian) }}
+
+// grow resizes every scratch slice to size+1 entries, reallocating only when
+// a larger problem than any before arrives.
+func (h *hungarian) grow(size int) {
+	if cap(h.u) < size+1 {
+		h.u = make([]float64, size+1)
+		h.v = make([]float64, size+1)
+		h.minv = make([]float64, size+1)
+		h.p = make([]int, size+1)
+		h.way = make([]int, size+1)
+		h.used = make([]bool, size+1)
+		h.colOf = make([]int, size+1)
+	}
+	h.u, h.v, h.minv = h.u[:size+1], h.v[:size+1], h.minv[:size+1]
+	h.p, h.way, h.used, h.colOf = h.p[:size+1], h.way[:size+1], h.used[:size+1], h.colOf[:size+1]
+	clear(h.u)
+	clear(h.v)
+	clear(h.p)
+	clear(h.way)
+}
+
+// MaxWeightTotal returns MaxWeight(w).TotalWeight() for the n×m matrix
+// stored row-major in w (w[i*m+j] is the weight of left i to right j),
+// bit for bit, without allocating once its pooled scratch has grown to the
+// problem size. It runs the same Hungarian iteration as MaxWeight — the
+// cost of a cell is read from w on the fly instead of from a materialised
+// cost matrix — and sums the positive assigned weights in row order, the
+// order MaxWeight's sorted matching is summed in.
+//
+//wfsimvet:hotpath
+func MaxWeightTotal(w []float64, n, m int) float64 {
+	if n == 0 || m == 0 {
+		return 0
+	}
+	size := n
+	if m > size {
+		size = m
+	}
+	const inf = 1e18
+	h := hungarianPool.Get().(*hungarian)
+	defer hungarianPool.Put(h)
+	h.grow(size)
+	u, v, minv, p, way, used := h.u, h.v, h.minv, h.p, h.way, h.used
+	for i := 1; i <= size; i++ {
+		p[0] = i
+		j0 := 0
+		for j := range minv {
+			minv[j] = inf
+			used[j] = false
+		}
+		for {
+			used[j0] = true
+			i0, delta, j1 := p[j0], inf, 0
+			for j := 1; j <= size; j++ {
+				if used[j] {
+					continue
+				}
+				c := 0.0 // padding cells of the implicit square matrix
+				if i0 <= n && j <= m {
+					c = -w[(i0-1)*m+j-1]
+				}
+				cur := c - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			for j := 0; j <= size; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		for {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+			if j0 == 0 {
+				break
+			}
+		}
+	}
+	colOf := h.colOf
+	clear(colOf)
+	for j := 1; j <= m; j++ {
+		if i := p[j]; i >= 1 && i <= n {
+			colOf[i] = j
+		}
+	}
+	var total float64
+	for i := 1; i <= n; i++ {
+		if j := colOf[i]; j != 0 {
+			if wt := w[(i-1)*m+j-1]; wt > 0 {
+				total += wt
+			}
+		}
+	}
+	return total
 }
 
 // MaxWeightNonCrossing computes the maximum-weight non-crossing matching

@@ -266,3 +266,56 @@ func BenchmarkMWNC50x50(b *testing.B) {
 		MaxWeightNonCrossing(w)
 	}
 }
+
+// flat copies w into the row-major layout MaxWeightTotal reads.
+func flat(w Weights) []float64 {
+	n, m := w.Dims()
+	out := make([]float64, 0, n*m)
+	for _, row := range w {
+		out = append(out, row...)
+	}
+	return out
+}
+
+// TestMaxWeightTotalBitIdentical: the pooled kernel returns exactly the bits
+// of MaxWeight(w).TotalWeight() on random rectangular matrices, mostly-zero
+// matrices and matrices full of ties, including when one pooled scratch is
+// reused across problems of shrinking and growing size.
+func TestMaxWeightTotalBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	kinds := []struct {
+		name string
+		cell func() float64
+	}{
+		{"dense", func() float64 { return r.Float64() }},
+		{"mostly-zero", func() float64 {
+			if r.Intn(10) == 0 {
+				return r.Float64()
+			}
+			return 0
+		}},
+		{"ties", func() float64 { return float64(r.Intn(3)) / 2 }},
+		{"edit-like", func() float64 { return float64(r.Intn(13)) / float64(1+r.Intn(12)) }},
+	}
+	for _, k := range kinds {
+		for trial := 0; trial < 400; trial++ {
+			n, m := 1+r.Intn(14), 1+r.Intn(14)
+			w := make(Weights, n)
+			for i := range w {
+				w[i] = make([]float64, m)
+				for j := range w[i] {
+					w[i][j] = k.cell()
+				}
+			}
+			want := MaxWeight(w).TotalWeight()
+			got := MaxWeightTotal(flat(w), n, m)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %dx%d: MaxWeightTotal = %v (%#x), MaxWeight total = %v (%#x)\n%v",
+					k.name, n, m, got, math.Float64bits(got), want, math.Float64bits(want), w)
+			}
+		}
+	}
+	if got := MaxWeightTotal(nil, 0, 3); got != 0 {
+		t.Errorf("empty matrix total = %v", got)
+	}
+}

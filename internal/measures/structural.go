@@ -2,6 +2,7 @@ package measures
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/ged"
@@ -162,20 +163,36 @@ func (s *Structural) match(w matching.Weights) matching.Matching {
 	return matching.MaxWeight(w)
 }
 
+// weightBufs pools the flat module-similarity matrices of moduleSets.
+var weightBufs = sync.Pool{New: func() any { return new([]float64) }}
+
 // moduleSets implements simMS: the additive similarity score of the mapped
 // module pairs, normalized by the similarity-Jaccard
-// nnsim / (|V1| + |V2| - nnsim).
+// nnsim / (|V1| + |V2| - nnsim). Under the maximum-weight mapping it
+// allocates nothing once the pools are warm: the weight matrix lives in a
+// pooled flat buffer and only the matching's total is computed.
+//
+//wfsimvet:hotpath
 func (s *Structural) moduleSets(a, b *workflow.Workflow) float64 {
-	if a.Size() == 0 || b.Size() == 0 {
+	n, m := a.Size(), b.Size()
+	if n == 0 || m == 0 {
 		return 0
 	}
-	w, st := module.WeightMatrixMemo(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
+	buf := weightBufs.Get().(*[]float64)
+	defer weightBufs.Put(buf)
+	w, st := module.WeightMatrixInto(*buf, a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
+	*buf = w
 	s.cfg.Counter.Add(st.Total, st.Compared)
-	nnsim := s.match(w).TotalWeight()
+	var nnsim float64
+	if s.cfg.Mapping == GreedyMapping {
+		nnsim = matching.Greedy(matching.Rows(w, n, m)).TotalWeight()
+	} else {
+		nnsim = matching.MaxWeightTotal(w, n, m)
+	}
 	if !s.cfg.Normalize {
 		return nnsim
 	}
-	return jaccardNorm(nnsim, float64(a.Size()), float64(b.Size()))
+	return jaccardNorm(nnsim, float64(n), float64(m))
 }
 
 // pathSets implements simPS: workflows are decomposed into source-to-sink

@@ -208,3 +208,15 @@ func WeightMatrixMemo(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimM
 func WeightMatrixForMemo(a, b []*workflow.Module, s Scheme, p Preselect, memo *SimMemo) (matching.Weights, PairStats) {
 	return weightMatrixModules(a, b, s, p, memo)
 }
+
+// WeightMatrixInto is WeightMatrixMemo writing the matrix row-major into
+// dst's storage, reallocated only when too small — the allocation-free form
+// for callers that pool their buffers. Row i of the result is
+// w[i*len(b.Modules) : (i+1)*len(b.Modules)].
+func WeightMatrixInto(dst []float64, a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) ([]float64, PairStats) {
+	cells := len(a.Modules) * len(b.Modules)
+	if cap(dst) < cells {
+		dst = make([]float64, cells)
+	}
+	return fillWeights(dst[:cells], a.Modules, b.Modules, s, p, memo)
+}

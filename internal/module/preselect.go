@@ -128,17 +128,28 @@ func WeightMatrixFor(a, b []*workflow.Module, s Scheme, p Preselect) (matching.W
 }
 
 func weightMatrixModules(ma, mb []*workflow.Module, s Scheme, p Preselect, memo *SimMemo) (matching.Weights, PairStats) {
+	flat, stats := fillWeights(make([]float64, len(ma)*len(mb)), ma, mb, s, p, memo)
+	return matching.Rows(flat, len(ma), len(mb)), stats
+}
+
+// fillWeights writes the module-similarity matrix of ma × mb row-major into
+// dst, which holds exactly len(ma)*len(mb) cells; pairs the preselection
+// excludes get weight 0. It returns dst and the comparison statistics.
+//
+//wfsimvet:hotpath
+func fillWeights(dst []float64, ma, mb []*workflow.Module, s Scheme, p Preselect, memo *SimMemo) ([]float64, PairStats) {
 	stats := PairStats{Total: len(ma) * len(mb)}
-	w := make(matching.Weights, len(ma))
+	m := len(mb)
 	for i, x := range ma {
-		w[i] = make([]float64, len(mb))
+		row := dst[i*m : (i+1)*m]
 		for j, y := range mb {
 			if !p.Allows(x, y) {
+				row[j] = 0
 				continue
 			}
 			stats.Compared++
-			w[i][j] = s.SimilarityMemo(x, y, memo)
+			row[j] = s.SimilarityMemo(x, y, memo)
 		}
 	}
-	return w, stats
+	return dst, stats
 }

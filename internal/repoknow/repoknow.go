@@ -6,11 +6,7 @@
 // them via transitive edges.
 package repoknow
 
-import (
-	"sync"
-
-	"repro/internal/workflow"
-)
+import "repro/internal/workflow"
 
 // UsageStats counts how often each module signature occurs across a
 // repository. Modules used most frequently across different workflows tend
@@ -141,51 +137,40 @@ func (f *FrequencyScorer) Score(m *workflow.Module) float64 {
 // meets Threshold, preserves all paths between kept modules as edges (via
 // the construction of workflow.InducedSubgraph), and transitively reduces
 // the result.
+//
+// A Projector holds no per-workflow state: Project is a pure function of
+// the workflow, the scorer and the threshold. Callers that project the same
+// workflows repeatedly keep the projections themselves, scoped to the
+// corpus state they belong to (the engine keeps one projected slice per
+// shard snapshot), so nothing the projector ever saw stays reachable
+// through it.
 type Projector struct {
 	Scorer    Scorer
 	Threshold float64
-
-	mu    sync.Mutex
-	cache map[*workflow.Workflow]*workflow.Workflow
 }
 
-// NewProjector returns a caching projector with the given scorer and
-// threshold. The paper's configuration corresponds to TypeScorer with
-// threshold 0.5 (any positive threshold separates scores 0 and 1).
+// NewProjector returns a projector with the given scorer and threshold.
+// The paper's configuration corresponds to TypeScorer with threshold 0.5
+// (any positive threshold separates scores 0 and 1).
 func NewProjector(s Scorer, threshold float64) *Projector {
-	return &Projector{Scorer: s, Threshold: threshold, cache: map[*workflow.Workflow]*workflow.Workflow{}}
+	return &Projector{Scorer: s, Threshold: threshold}
 }
 
-// Project returns the importance projection of wf. Results are cached per
-// workflow pointer, so repeated comparisons against a repository project
-// each workflow once. If no module meets the threshold the original
-// workflow is returned unchanged (projecting to an empty graph would make
-// every comparison degenerate).
+// Project returns the importance projection of wf. If no module meets the
+// threshold the original workflow is returned unchanged (projecting to an
+// empty graph would make every comparison degenerate), and a workflow whose
+// modules all meet it is returned as is.
 func (p *Projector) Project(wf *workflow.Workflow) *workflow.Workflow {
-	p.mu.Lock()
-	if c, ok := p.cache[wf]; ok {
-		p.mu.Unlock()
-		return c
-	}
-	p.mu.Unlock()
-
 	var keep []int
 	for i, m := range wf.Modules {
 		if p.Scorer.Score(m) >= p.Threshold {
 			keep = append(keep, i)
 		}
 	}
-	out := wf
 	if len(keep) > 0 && len(keep) < len(wf.Modules) {
-		out = wf.InducedSubgraph(keep)
-	} else if len(keep) == len(wf.Modules) {
-		out = wf
+		return wf.InducedSubgraph(keep)
 	}
-
-	p.mu.Lock()
-	p.cache[wf] = out
-	p.mu.Unlock()
-	return out
+	return wf
 }
 
 // MeanModuleCount reports the average number of modules per workflow before

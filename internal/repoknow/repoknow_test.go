@@ -98,12 +98,27 @@ func TestProjectorAllTrivialKeepsOriginal(t *testing.T) {
 	}
 }
 
-func TestProjectorCaches(t *testing.T) {
+// TestProjectorIsPure: projection keeps no per-workflow state — repeated
+// projections of one workflow are equal in content but built afresh, and the
+// input is never modified.
+func TestProjectorIsPure(t *testing.T) {
 	w := wfWithModules("w", workflow.TypeWSDL, workflow.TypeLocalWorker, workflow.TypeBeanshell)
+	before := w.Size()
 	p := NewProjector(TypeScorer{}, 0.5)
 	a, b := p.Project(w), p.Project(w)
-	if a != b {
-		t.Error("repeated projection must return the cached value")
+	if a == b {
+		t.Error("repeated projection returned a shared object: the projector is caching")
+	}
+	if a.Size() != b.Size() || a.EdgeCount() != b.EdgeCount() {
+		t.Errorf("repeated projections differ: %d/%d modules, %d/%d edges", a.Size(), b.Size(), a.EdgeCount(), b.EdgeCount())
+	}
+	for i := range a.Modules {
+		if a.Modules[i].Label != b.Modules[i].Label {
+			t.Errorf("module %d: %q vs %q", i, a.Modules[i].Label, b.Modules[i].Label)
+		}
+	}
+	if w.Size() != before {
+		t.Errorf("projection modified its input: %d modules, was %d", w.Size(), before)
 	}
 }
 

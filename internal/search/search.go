@@ -61,9 +61,12 @@ type Options struct {
 // scheduling). fn is invoked once per index; the context is checked between
 // invocations and the pool drains early when it is cancelled or when fn
 // returns an error (multi-item tasks report mid-task cancellation that
-// way). Batched returns nil iff fn ran to completion for every index — a
-// context that expires only after the last invocation does not fail an
-// already-complete scan; otherwise it returns the first error observed.
+// way). Batched returns nil iff fn ran to completion for every index,
+// otherwise the first error observed. It does not re-check the context
+// after the last invocation: a scan whose final evaluations finish past the
+// deadline returns nil here, and a caller that must not report a late
+// result as a success checks ctx itself — the shard coordinator's reads
+// fail with ctx.Err() in that case.
 func Batched(ctx context.Context, n, par, batch int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

@@ -211,7 +211,7 @@ func (c *Coordinator) Apply(ops []corpus.Op) ([]uint64, error) {
 	}
 	gens := make([]uint64, len(c.shards))
 	for i, s := range c.shards {
-		gens[i] = s.Info().Generation
+		gens[i] = s.Pin().Generation()
 	}
 	c.viewMu.Unlock()
 	// Deferrable maintenance (log compaction) outside the read-blocking
@@ -222,6 +222,19 @@ func (c *Coordinator) Apply(ops []corpus.Op) ([]uint64, error) {
 		}
 	}
 	return gens, nil
+}
+
+// onTime is the read boundary's deadline contract: a scan that completed
+// only after its context expired is a failure, not a late success. Every
+// coordinator read returns through it, so a caller holding a deadline never
+// receives a result produced past that deadline. (Cancellation inside one
+// pair evaluation is not attempted: a pair that started before the deadline
+// runs to its end, and the scan then fails here.)
+func onTime(ctx context.Context, err error) error {
+	if err != nil {
+		return err
+	}
+	return ctx.Err()
 }
 
 // Search fans the query out to every pin via search.Batched and merges the
@@ -238,7 +251,7 @@ func (c *Coordinator) Search(ctx context.Context, v View, prep *ScanPrep, q Quer
 		per[i], perStats[i] = res, st
 		return nil
 	})
-	if err != nil {
+	if err := onTime(ctx, err); err != nil {
 		return nil, ReadStats{}, err
 	}
 	var stats ReadStats
@@ -293,7 +306,7 @@ func (c *Coordinator) Duplicates(ctx context.Context, v View, prep *ScanPrep, th
 		perPairs[i], perStats[i] = pairs, st
 		return nil
 	})
-	if err != nil {
+	if err := onTime(ctx, err); err != nil {
 		return nil, ReadStats{}, err
 	}
 	var stats ReadStats
@@ -313,6 +326,7 @@ func (c *Coordinator) Duplicates(ctx context.Context, v View, prep *ScanPrep, th
 type unionMeasure struct {
 	v       View
 	prep    *ScanPrep
+	prs     []*Prepared  // per shard, resolved once per matrix
 	scorers []pairScorer // one per shard, so counters stay per-cache
 }
 
@@ -321,8 +335,8 @@ func (um *unionMeasure) Name() string { return um.prep.Name }
 func (um *unionMeasure) Compare(a, b *workflow.Workflow) (float64, error) {
 	pa := um.v.Owner(a.ID)
 	pb := um.v.Owner(b.ID)
-	aProj := um.prep.For(pa).projOf(a, um.prep)
-	bProj := um.prep.For(pb).projOf(b, um.prep)
+	aProj := um.prs[pa.Shard()].projOf(a, um.prep)
+	bProj := um.prs[pb.Shard()].projOf(b, um.prep)
 	execID := pa.Shard()
 	if !workflow.IDsInOrder(a.ID, b.ID) {
 		execID = pb.Shard()
@@ -335,15 +349,17 @@ func (um *unionMeasure) Compare(a, b *workflow.Workflow) (float64, error) {
 // builder with a shard-aware cached measure. The aggregated cache counters
 // are returned alongside.
 func (c *Coordinator) Matrix(ctx context.Context, v View, prep *ScanPrep, par int) (*cluster.Matrix, ReadStats, error) {
-	um := &unionMeasure{v: v, prep: prep, scorers: make([]pairScorer, len(v.pins))}
-	for i := range um.scorers {
+	um := &unionMeasure{v: v, prep: prep, prs: make([]*Prepared, len(v.pins)), scorers: make([]pairScorer, len(v.pins))}
+	for i, pin := range v.pins {
+		um.prs[i] = prep.For(pin)
 		um.scorers[i].prep = prep
-		if local, ok := v.pins[i].(*localPin); ok {
+		if local, ok := pin.(*localPin); ok {
 			um.scorers[i].cache = local.s.cache
+			um.scorers[i].tab = local.s.syms
 		}
 	}
 	mat, err := cluster.BuildMatrix(ctx, unionCorpus(v.Union()), um, par)
-	if err != nil {
+	if err := onTime(ctx, err); err != nil {
 		return nil, ReadStats{}, err
 	}
 	var stats ReadStats

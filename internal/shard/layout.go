@@ -29,6 +29,20 @@ func ShardDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%04d", i))
 }
 
+// Dirs returns the storage directory of every shard of an n-shard
+// deployment rooted at root: root itself for a single shard (the flat
+// layout, with no marker), the shard-NNNN subdirectories otherwise.
+func Dirs(root string, n int) []string {
+	if n == 1 {
+		return []string{root}
+	}
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = ShardDir(root, i)
+	}
+	return dirs
+}
+
 // ReadMarker reports the shard count recorded in root's layout marker.
 // ok is false when no marker exists (the directory is unsharded or empty).
 func ReadMarker(root string) (n int, ok bool, err error) {
@@ -75,22 +89,27 @@ func WriteMarker(root string, n int) error {
 }
 
 // CheckLayout validates root for opening with n shards and initialises the
-// marker when the directory is fresh. It refuses, with a clear error, to
-// reinterpret a directory written under a different shard count or an
-// unsharded (flat) layout — resharding on disk is never silent.
+// marker when a directory for n > 1 shards is fresh. It refuses, with a
+// clear error, to reinterpret a directory written under a different shard
+// count, a sharded directory as the flat single-shard layout, or a flat
+// directory as a sharded one — resharding on disk is never silent.
 func CheckLayout(root string, n int) error {
 	recorded, ok, err := ReadMarker(root)
 	if err != nil {
 		return err
 	}
-	if ok {
-		if recorded != n {
-			return fmt.Errorf("shard: data directory %s was written with %d shards; refusing to open with %d (resharding on disk is not supported — start with -shards %d or point at a fresh directory)", root, recorded, n, recorded)
-		}
+	switch {
+	case ok && n == 1:
+		// The corpus lives in the shard subdirectories; a flat log written
+		// alongside would fork the state.
+		return fmt.Errorf("storage directory %s holds a sharded corpus (%d shards); reopen it with WithShards(%d) (wfsimd: -shards %d)", root, recorded, recorded, recorded)
+	case ok && recorded != n:
+		return fmt.Errorf("shard: data directory %s was written with %d shards; refusing to open with %d (resharding on disk is not supported — start with -shards %d or point at a fresh directory)", root, recorded, n, recorded)
+	case ok || n == 1:
 		return nil
 	}
 	// No marker. A flat (unsharded) storage layout here means the directory
-	// belongs to a 1-shard engine from before sharding existed.
+	// belongs to a single-shard engine.
 	flat, err := storage.DirHasState(root)
 	if err != nil {
 		return err

@@ -38,11 +38,20 @@ type LocalConfig struct {
 	// workflow's interned IDs mean the same thing on whichever shard scores
 	// it. Nil gives the shard's repository its own private table.
 	Symtab *symtab.Table
+	// Repo, when non-nil, is an existing repository the shard takes
+	// ownership of instead of building an empty one: its contents are the
+	// shard's slice at the repository's generation, its symbol table (nil
+	// in the string-baseline mode) is the shard's, and writes through the
+	// repository are the shard's own writes. Seed and Symtab must then be
+	// empty. A durable shard persists a non-empty Repo as its baseline
+	// snapshot, or recovers stored state into an empty one.
+	Repo *corpus.Repository
 }
 
 // Local is the in-process Shard implementation: it owns its slice of the
 // corpus as a snapshot-versioned corpus.Repository, its inverted label
-// index, its score cache, and (optionally) its own durable store.
+// index, its score cache, (optionally) its own durable store, and the
+// projected form of its newest snapshot.
 type Local struct {
 	id          int
 	repo        *corpus.Repository
@@ -57,21 +66,48 @@ type Local struct {
 	rebuilds    atomic.Int64
 	warmEntries int
 
+	projMu sync.Mutex
+	proj   *projected // newest snapshot's projected slice; guarded by projMu
+
 	closeMu sync.Mutex
 	closed  bool
 }
 
+// projected is a shard snapshot's workflows under one projector epoch. After
+// a commit that removed or replaced workflows it is pruned to the survivors'
+// projections, with snap nil: it then matches no pinned view and only seeds
+// the next snapshot's slice.
+type projected struct {
+	snap  *corpus.Snapshot
+	gen   uint64 // snap's generation, or the pruning commit's
+	epoch uint64
+	pr    *Prepared
+}
+
 // NewLocal builds (and, when cfg.Dir is set, recovers) one shard.
 func NewLocal(id int, cfg LocalConfig) (*Local, error) {
-	repo, err := corpus.NewRepository()
-	if err != nil {
-		return nil, err
+	repo := cfg.Repo
+	if repo == nil {
+		var err error
+		if repo, err = corpus.NewRepository(); err != nil {
+			return nil, err
+		}
+		// Wire the shared symbol table before any workflow enters the
+		// repository, so every ingest resolves against it.
+		if cfg.Symtab != nil {
+			if err := repo.AdoptSymtab(cfg.Symtab); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", id, err)
+			}
+		}
+	} else if len(cfg.Seed) > 0 || cfg.Symtab != nil {
+		return nil, fmt.Errorf("shard %d: an owned repository takes no seed or symbol table", id)
 	}
 	s := &Local{
 		id:          id,
 		repo:        repo,
 		minShared:   cfg.MinShared,
 		concurrency: cfg.Concurrency,
+		syms:        repo.Symtab(),
 		warnf:       cfg.Storage.Warnf,
 	}
 	if s.warnf == nil {
@@ -80,43 +116,15 @@ func NewLocal(id int, cfg LocalConfig) (*Local, error) {
 	if cfg.CacheSize > 0 {
 		s.cache = scorecache.New(cfg.CacheSize)
 	}
-	// Wire the shared symbol table (or the repository's own) before any
-	// workflow enters the repository, so every ingest resolves against it.
-	tab := cfg.Symtab
-	if tab != nil {
-		if err := repo.AdoptSymtab(tab); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", id, err)
-		}
-	} else {
-		tab = repo.Symtab()
-	}
-	s.syms = tab
 	if cfg.Dir != "" {
-		cfg.Storage.Symtab = tab
+		cfg.Storage.Symtab = s.syms
 		store, wfs, gen, err := storage.Open(cfg.Dir, cfg.Storage)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", id, err)
 		}
-		if gen > 0 || len(wfs) > 0 {
-			if len(cfg.Seed) > 0 {
-				store.Close() //wfsimvet:ignore errpath abort path before any write; the refusal error wins
-				return nil, fmt.Errorf("shard %d: directory %s holds state at generation %d; refusing to seed over it", id, cfg.Dir, gen)
-			}
-			if err := repo.Restore(gen, wfs...); err != nil {
-				store.Close()
-				return nil, fmt.Errorf("shard %d: %w", id, err)
-			}
-		} else if len(cfg.Seed) > 0 {
-			if err := s.seed(cfg.Seed); err != nil {
-				store.Close()
-				return nil, err
-			}
-			// Persist the seed as the baseline snapshot so the partition
-			// assignment itself survives a restart.
-			if err := store.Compact(0, cfg.Seed); err != nil {
-				store.Close()
-				return nil, fmt.Errorf("shard %d: persist seed: %w", id, err)
-			}
+		if err := s.adopt(store, cfg, wfs, gen); err != nil {
+			store.Close() //wfsimvet:ignore errpath abort path; the recovery or seeding error wins
+			return nil, err
 		}
 		repo.SetCommitHook(func(gen uint64, ops []corpus.Op) error {
 			return store.Commit(gen, ops)
@@ -132,6 +140,35 @@ func NewLocal(id int, cfg LocalConfig) (*Local, error) {
 		s.rebuilds.Store(0) // the initial build is not drift recovery
 	}
 	return s, nil
+}
+
+// adopt reconciles a freshly opened store with the shard's repository:
+// recovered state is restored into the still-empty repository, and a fresh
+// directory persists the seed or the owned repository's contents as the
+// baseline snapshot, so the initial state itself survives a restart.
+func (s *Local) adopt(store *storage.Store, cfg LocalConfig, wfs []*workflow.Workflow, gen uint64) error {
+	if gen > 0 || len(wfs) > 0 {
+		if snap := s.repo.Snapshot(); len(cfg.Seed) > 0 || snap.Generation() > 0 || snap.Size() > 0 {
+			return fmt.Errorf("shard %d: directory %s holds state at generation %d; refusing to seed over it", s.id, cfg.Dir, gen)
+		}
+		if err := s.repo.Restore(gen, wfs...); err != nil {
+			return fmt.Errorf("shard %d: %w", s.id, err)
+		}
+		return nil
+	}
+	if len(cfg.Seed) > 0 {
+		if err := s.seed(cfg.Seed); err != nil {
+			return err
+		}
+	}
+	snap := s.repo.Snapshot()
+	if snap.Size() == 0 && snap.Generation() == 0 {
+		return nil
+	}
+	if err := store.Compact(snap.Generation(), snap.Workflows()); err != nil {
+		return fmt.Errorf("shard %d: persist initial state: %w", s.id, err)
+	}
+	return nil
 }
 
 // seed installs the initial partition slice at generation 0.
@@ -153,14 +190,17 @@ func (s *Local) Validate(ops []corpus.Op) error {
 	return s.repo.ValidateBatch(ops)
 }
 
-// Commit implements Shard: applies a coordinator-validated sub-batch and
-// maintains the inverted index incrementally, mirroring the single-engine
-// Apply path (full rebuild only on drift).
+// Commit implements Shard: applies a coordinator-validated sub-batch,
+// forgets the projections of the workflows it removed or replaced, and
+// maintains the inverted index incrementally (full rebuild only on drift:
+// after a direct mutation of the repository the index lags a generation).
 func (s *Local) Commit(ops []corpus.Op) (uint64, error) {
+	before := s.repo.Snapshot()
 	gen, err := s.repo.ApplyBatch(ops)
 	if err != nil {
 		return 0, err
 	}
+	s.forgetDeparted(before, ops, gen)
 	if idx := s.idx.Load(); idx != nil {
 		if idx.Generation() != gen-1 || idx.Apply(ops, gen) != nil {
 			s.rebuildIndex()
@@ -302,6 +342,62 @@ func (s *Local) Close(warm *WarmSpec) error {
 	return firstErr
 }
 
+// prepared returns snap's workflows under prep's projection, which must be
+// the deployment's projection of prep.Epoch. The shard keeps the slice of
+// its newest snapshot per projector epoch, so every scan of that snapshot
+// shares one projection of each workflow; a newer snapshot's slice reuses
+// the projections of the workflow pointers it shares with the kept one and
+// replaces it. A reader pinned to an older snapshot gets a slice of its own
+// and leaves the kept one in place. Queries from outside the corpus are
+// never kept, and Commit prunes departed workflows (forgetDeparted).
+func (s *Local) prepared(snap *corpus.Snapshot, prep *ScanPrep) *Prepared {
+	s.projMu.Lock()
+	defer s.projMu.Unlock()
+	cur := s.proj
+	if cur != nil && cur.snap == snap && cur.epoch == prep.Epoch {
+		return cur.pr
+	}
+	var prev *Prepared
+	if cur != nil && cur.epoch == prep.Epoch {
+		prev = cur.pr
+	}
+	pr := prep.projectAll(snap.Workflows(), prev)
+	if cur == nil || snap.Generation() >= cur.gen {
+		s.proj = &projected{snap: snap, gen: snap.Generation(), epoch: prep.Epoch, pr: pr}
+	}
+	return pr
+}
+
+// forgetDeparted prunes the kept projected slice after a commit at gen: the
+// workflows the batch removed or replaced (as of the pre-batch snapshot)
+// lose their projections, so nothing the corpus no longer holds stays
+// reachable through the shard. The survivors' projections stay to seed the
+// next snapshot's slice.
+func (s *Local) forgetDeparted(before *corpus.Snapshot, ops []corpus.Op, gen uint64) {
+	s.projMu.Lock()
+	defer s.projMu.Unlock()
+	cur := s.proj
+	if cur == nil {
+		return
+	}
+	departed := map[*workflow.Workflow]bool{}
+	for _, op := range ops {
+		if wf := before.Get(op.ID); wf != nil && op.Kind != corpus.OpAdd {
+			departed[wf] = true
+		}
+	}
+	if len(departed) == 0 {
+		return
+	}
+	keep := make(map[*workflow.Workflow]*workflow.Workflow, len(cur.pr.byOrig))
+	for orig, proj := range cur.pr.byOrig {
+		if !departed[orig] {
+			keep[orig] = proj
+		}
+	}
+	s.proj = &projected{gen: gen, epoch: cur.epoch, pr: &Prepared{byOrig: keep}}
+}
+
 // Pin implements Shard.
 func (s *Local) Pin() Pin {
 	return &localPin{s: s, snap: s.repo.Snapshot(), idx: s.idx.Load()}
@@ -345,7 +441,7 @@ func (sm *searchMeasure) Name() string { return sm.prep.Name }
 func (sm *searchMeasure) Compare(_, wf *workflow.Workflow) (float64, error) {
 	// Cache only snapshot-owned candidates (an index candidate captured
 	// across a compaction, or the query itself under IncludeQuery, is scored
-	// but never cached — same ownership rule as the single-engine cache).
+	// but never cached).
 	cacheable := sm.cacheable && sm.pin.snap.Get(wf.ID) == wf
 	// Evaluate in ID order (see PairsBlock): measures are symmetric in value
 	// but not in bits, and the cache key is orientation-free, so a search
@@ -358,9 +454,9 @@ func (sm *searchMeasure) Compare(_, wf *workflow.Workflow) (float64, error) {
 	return sm.scorer.score(x, y, xProj, yProj, xGen, yGen, cacheable)
 }
 
-// Search implements Pin. The indexed filter-and-refine path is taken under
-// exactly the single-engine conditions (index current for the pinned
-// generation, no Exact/IncludeQuery/MinSimilarity); otherwise the pinned
+// Search implements Pin. The indexed filter-and-refine path is taken when
+// the index is current for the pinned generation and the query sets no
+// Exact/IncludeQuery/MinSimilarity; otherwise the pinned
 // slice is scanned fully. Both paths score through the shard's cache and the
 // scan's specialised measure.
 //
@@ -382,10 +478,10 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 		prep:      prep,
 		pr:        prep.For(p),
 		queryOrig: q.Query,
-		queryProj: prep.ProjectOne(q.Query),
 		queryGen:  q.QueryGen,
 		cacheable: q.Cacheable,
 	}
+	sm.queryProj = sm.pr.projOf(q.Query, prep)
 	sm.scorer.prep = prep
 	sm.scorer.cache = p.s.cache
 	sm.scorer.tab = p.s.syms

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/measures"
+	"repro/internal/module"
 	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
@@ -32,6 +34,32 @@ func (versionMeasure) Compare(a, b *workflow.Workflow) (float64, error) {
 		return 0, err
 	}
 	return float64(va + vb), nil
+}
+
+// Specialise makes every scan hoist a projection, served from the shards'
+// kept per-snapshot projected slices: the projection rewrites the version
+// label "v<n>" as "p<n>", and the specialised measure accepts projected
+// workflows only. A correct score therefore also proves that the projection
+// a scan used belongs to the pinned content.
+func (versionMeasure) Specialise(*module.SimMemo) (measures.Projector, measures.Measure) {
+	project := func(wf *workflow.Workflow) *workflow.Workflow {
+		return &workflow.Workflow{ID: wf.ID, Modules: []*workflow.Module{{Label: "p" + wf.Modules[0].Label[1:]}}}
+	}
+	return project, projectedVersionSum{}
+}
+
+// projectedVersionSum is versionMeasure over projected workflows.
+type projectedVersionSum struct{}
+
+func (projectedVersionSum) Name() string { return "version_sum" }
+
+func (projectedVersionSum) Compare(a, b *workflow.Workflow) (float64, error) {
+	for _, wf := range []*workflow.Workflow{a, b} {
+		if len(wf.Modules) == 0 || wf.Modules[0].Label[0] != 'p' {
+			return 0, fmt.Errorf("workflow %s reached the specialised measure unprojected", wf.ID)
+		}
+	}
+	return versionMeasure{}.Compare(a, b)
 }
 
 func versionOf(wf *workflow.Workflow) (int, error) {
@@ -59,7 +87,8 @@ func versionWorkflow(id string, version int) *workflow.Workflow {
 //  3. No stale-generation score is ever served: every result's similarity
 //     equals the version sum of the *pinned* query and candidate content,
 //     even though the shards' score caches are small enough to churn and
-//     hold entries from many generations at once.
+//     hold entries from many generations at once, and the shards' kept
+//     projected slices are replaced and pruned as the commits land.
 func TestRacePinnedReadsDuringApply(t *testing.T) {
 	const nIDs = 24
 	ids := make([]string, nIDs)
@@ -149,7 +178,7 @@ func TestRacePinnedReadsDuringApply(t *testing.T) {
 					Cacheable: true,
 					K:         nIDs,
 				}
-				res, _, err := coord.Search(ctx, v, NewScanPrep(versionMeasure{}, 0), q)
+				res, _, err := coord.Search(ctx, v, NewScanPrep(versionMeasure{}, 0, true), q)
 				if err != nil {
 					t.Errorf("reader %d: Search: %v", rd, err)
 					return
@@ -175,7 +204,7 @@ func TestRacePinnedReadsDuringApply(t *testing.T) {
 
 				// The same view searched again must reproduce the results
 				// exactly, however many commits landed in between.
-				again, _, err := coord.Search(ctx, v, NewScanPrep(versionMeasure{}, 0), q)
+				again, _, err := coord.Search(ctx, v, NewScanPrep(versionMeasure{}, 0, true), q)
 				if err != nil {
 					t.Errorf("reader %d: re-Search: %v", rd, err)
 					return
@@ -187,6 +216,26 @@ func TestRacePinnedReadsDuringApply(t *testing.T) {
 				for i := range res {
 					if res[i] != again[i] {
 						t.Errorf("reader %d: pinned re-read diverged at rank %d: %+v then %+v", rd, i, res[i], again[i])
+						return
+					}
+				}
+
+				// The pair scan walks the shards' prepared slices by
+				// position, so it must see exactly the pinned content.
+				pairs, _, err := coord.Duplicates(ctx, v, NewScanPrep(versionMeasure{}, 0, true), 0, 1)
+				if err != nil {
+					t.Errorf("reader %d: Duplicates: %v", rd, err)
+					return
+				}
+				if len(pairs) != nIDs*(nIDs-1)/2 {
+					t.Errorf("reader %d: pair scan returned %d pairs, want %d", rd, len(pairs), nIDs*(nIDs-1)/2)
+					return
+				}
+				for _, p := range pairs {
+					va, errA := versionOf(v.Get(p.A))
+					vb, errB := versionOf(v.Get(p.B))
+					if errA != nil || errB != nil || p.Similarity != float64(va+vb) {
+						t.Errorf("reader %d: pair (%s, %s) scored %v, want %d: scanned content is not the pinned view's", rd, p.A, p.B, p.Similarity, va+vb)
 						return
 					}
 				}

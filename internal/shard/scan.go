@@ -23,8 +23,7 @@ import (
 // for repeated attribute comparisons across every shard's workers. The
 // specialised form returns bit-identical scores; only redundant per-pair
 // work (re-projecting the same workflow, re-running Levenshtein on the same
-// label pair) is removed, which is what makes the scatter-gather scan faster
-// than the legacy single-engine scan even before shards get their own cores.
+// label pair) is removed.
 //
 // A ScanPrep is built once per read operation and is safe for concurrent use
 // by all shards of that operation.
@@ -37,18 +36,24 @@ type ScanPrep struct {
 	inner   measures.Measure   // compares pre-projected workflows
 	project measures.Projector // nil when nothing was hoisted
 	memo    *module.SimMemo    // nil for non-specialisable measures
+	shared  bool               // project is the deployment's projection of Epoch
 
 	mu       sync.Mutex
 	prepared map[Pin]*Prepared
 }
 
 // NewScanPrep resolves m for a scatter-gather scan. epoch is the projector
-// epoch of the projection m was resolved with.
-func NewScanPrep(m measures.Measure, epoch uint64) *ScanPrep {
+// epoch of the projection m was resolved with. shared states that m's
+// projection is the deployment's projection of that epoch — true for
+// measures resolved from notation, false for a caller's own measure, which
+// may carry any projection — and lets shards serve the scan from the
+// projected slices they keep per snapshot and epoch.
+func NewScanPrep(m measures.Measure, epoch uint64, shared bool) *ScanPrep {
 	p := &ScanPrep{
 		Name:     m.Name(),
 		Epoch:    epoch,
 		inner:    m,
+		shared:   shared,
 		prepared: map[Pin]*Prepared{},
 	}
 	if sp, ok := m.(measures.Specialisable); ok {
@@ -69,8 +74,9 @@ type Prepared struct {
 }
 
 // ProjOf returns the projected form of a workflow from the prepared slice,
-// falling back to projecting on the spot for pointers outside it (e.g. an
-// index candidate captured across a compaction).
+// falling back to projecting on the spot for pointers outside it (a query
+// from outside the corpus, or an index candidate captured across a
+// compaction).
 func (pr *Prepared) projOf(wf *workflow.Workflow, p *ScanPrep) *workflow.Workflow {
 	if pr.byOrig == nil {
 		return wf
@@ -81,28 +87,47 @@ func (pr *Prepared) projOf(wf *workflow.Workflow, p *ScanPrep) *workflow.Workflo
 	return p.ProjectOne(wf)
 }
 
-// For returns pin's prepared slice, building it on first use: each workflow
-// is projected exactly once per scan, instead of once per pair inside the
-// measure.
+// For returns pin's prepared slice, resolving it on first use: each
+// workflow is projected at most once per scan, instead of once per pair
+// inside the measure — and, for a shared projection over a local shard, at
+// most once per snapshot (see Local.prepared).
 func (p *ScanPrep) For(pin Pin) *Prepared {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if pr, ok := p.prepared[pin]; ok {
 		return pr
 	}
-	orig := pin.Workflows()
-	pr := &Prepared{Orig: orig, Proj: orig}
-	if p.project != nil {
-		proj := make([]*workflow.Workflow, len(orig))
-		byOrig := make(map[*workflow.Workflow]*workflow.Workflow, len(orig))
-		for i, wf := range orig {
-			proj[i] = p.project(wf)
-			byOrig[wf] = proj[i]
-		}
-		pr.Proj = proj
-		pr.byOrig = byOrig
+	var pr *Prepared
+	if lp, ok := pin.(*localPin); ok && p.shared && p.project != nil {
+		pr = lp.s.prepared(lp.snap, p)
+	} else {
+		pr = p.projectAll(pin.Workflows(), nil)
 	}
 	p.prepared[pin] = pr
+	return pr
+}
+
+// projectAll prepares orig under the scan's projection, taking the
+// projection of every workflow pointer prev already holds from prev.
+func (p *ScanPrep) projectAll(orig []*workflow.Workflow, prev *Prepared) *Prepared {
+	pr := &Prepared{Orig: orig, Proj: orig}
+	if p.project == nil {
+		return pr
+	}
+	var known map[*workflow.Workflow]*workflow.Workflow
+	if prev != nil {
+		known = prev.byOrig
+	}
+	pr.Proj = make([]*workflow.Workflow, len(orig))
+	pr.byOrig = make(map[*workflow.Workflow]*workflow.Workflow, len(orig))
+	for i, wf := range orig {
+		proj, ok := known[wf]
+		if !ok {
+			proj = p.project(wf)
+		}
+		pr.Proj[i] = proj
+		pr.byOrig[wf] = proj
+	}
 	return pr
 }
 

@@ -274,7 +274,7 @@ func sum(v []uint64) uint64 {
 
 func TestSearchEquivalenceAcrossShardCounts(t *testing.T) {
 	c := testCorpus(t, 80)
-	prep1 := NewScanPrep(msMeasure(), 0)
+	prep1 := NewScanPrep(msMeasure(), 0, true)
 	coord1 := buildLocal(t, c, 1, "")
 	v1 := coord1.View()
 
@@ -282,7 +282,7 @@ func TestSearchEquivalenceAcrossShardCounts(t *testing.T) {
 	for _, nShards := range []int{2, 3, 5} {
 		coordN := buildLocal(t, c, nShards, "")
 		vN := coordN.View()
-		prepN := NewScanPrep(msMeasure(), 0)
+		prepN := NewScanPrep(msMeasure(), 0, true)
 		for _, q := range queries {
 			r1, _, err := coord1.Search(context.Background(), v1, prep1, Query{Query: q, K: 15})
 			if err != nil {
@@ -310,7 +310,7 @@ func TestDuplicatesEquivalenceAndCrossShardPairs(t *testing.T) {
 	threshold := 0.5
 
 	coord1 := buildLocal(t, c, 1, "")
-	p1, _, err := coord1.Duplicates(context.Background(), coord1.View(), NewScanPrep(msMeasure(), 0), threshold, 2)
+	p1, _, err := coord1.Duplicates(context.Background(), coord1.View(), NewScanPrep(msMeasure(), 0, true), threshold, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestDuplicatesEquivalenceAndCrossShardPairs(t *testing.T) {
 	}
 
 	coord4 := buildLocal(t, c, 4, "")
-	p4, _, err := coord4.Duplicates(context.Background(), coord4.View(), NewScanPrep(msMeasure(), 0), threshold, 2)
+	p4, _, err := coord4.Duplicates(context.Background(), coord4.View(), NewScanPrep(msMeasure(), 0, true), threshold, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,4 +397,56 @@ func TestLocalShardDurableRoundTrip(t *testing.T) {
 		t.Error("seeding a shard that recovered state should fail")
 	}
 	_ = filepath.Join // keep import if unused in future edits
+}
+
+// TestLocalKeepsProjectionsPerSnapshot: a shard serves every scan of its
+// newest snapshot from one projected slice, carries the projections of
+// unchanged workflows over to the next snapshot's slice, gives a reader
+// pinned to an older snapshot a slice of that snapshot without displacing
+// the newest, and drops the projections of workflows a commit removed or
+// replaced.
+func TestLocalKeepsProjectionsPerSnapshot(t *testing.T) {
+	seed := []*workflow.Workflow{versionWorkflow("a", 1), versionWorkflow("b", 1), versionWorkflow("c", 1)}
+	s, err := NewLocal(0, LocalConfig{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(pin Pin) *Prepared { return NewScanPrep(versionMeasure{}, 7, true).For(pin) }
+	check := func(phase string, pin Pin, pr *Prepared) {
+		t.Helper()
+		wfs := pin.Workflows()
+		if len(pr.Orig) != len(wfs) {
+			t.Fatalf("%s: prepared %d workflows, pin holds %d", phase, len(pr.Orig), len(wfs))
+		}
+		for i, wf := range wfs {
+			if pr.Orig[i] != wf || pr.Proj[i].Modules[0].Label != "p"+wf.Modules[0].Label[1:] {
+				t.Fatalf("%s: slot %d holds %s/%s for pinned %s", phase, i, pr.Orig[i].ID, pr.Proj[i].Modules[0].Label, wf.Modules[0].Label)
+			}
+		}
+	}
+	pin1 := s.Pin()
+	pr1 := scan(pin1)
+	check("first scan", pin1, pr1)
+	if again := scan(pin1); again != pr1 {
+		t.Error("a second scan of the same snapshot re-projected it")
+	}
+
+	if _, err := s.Commit([]corpus.Op{{Kind: corpus.OpReplace, ID: "b", Workflow: versionWorkflow("b", 2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.proj.pr.byOrig[pin1.Get("b")]; ok {
+		t.Error("the replaced workflow's projection survived the commit")
+	}
+	pin2 := s.Pin()
+	pr2 := scan(pin2)
+	check("after replace", pin2, pr2)
+	if pr2.Proj[0] != pr1.Proj[0] || pr2.Proj[2] != pr1.Proj[2] {
+		t.Error("unchanged workflows were re-projected instead of carried over")
+	}
+
+	old := scan(pin1)
+	check("older reader", pin1, old)
+	if scan(pin2) != pr2 {
+		t.Error("an older reader displaced the newest snapshot's slice")
+	}
 }

@@ -32,17 +32,13 @@ func benchCorpusN(b *testing.B, n int) *GeneratedCorpus {
 	return c
 }
 
-// benchShardEngine builds an engine over the cached corpus, unsharded when
-// shards == 1. No score cache: the point is the scan itself, not replaying
+// benchShardEngine builds an engine with the given shard count over the
+// cached corpus. No score cache: the point is the scan itself, not replaying
 // cached scores, so every iteration re-evaluates every surviving pair.
 func benchShardEngine(b *testing.B, n, shards int) *Engine {
 	b.Helper()
 	c := benchCorpusN(b, n)
-	var opts []Option
-	if shards > 1 {
-		opts = append(opts, WithShards(shards))
-	}
-	eng, err := New(c.Repo, opts...)
+	eng, err := New(c.Repo, WithShards(shards))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,8 +46,7 @@ func benchShardEngine(b *testing.B, n, shards int) *Engine {
 }
 
 // BenchmarkShardedSearch scans one query against the full corpus under the
-// default measure at increasing shard counts — the scatter-gather read path
-// against the single-engine baseline.
+// default measure at increasing shard counts.
 func BenchmarkShardedSearch(b *testing.B) {
 	corpusSize := 10000
 	if testing.Short() {
@@ -72,9 +67,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 }
 
 // BenchmarkShardedDuplicates runs the full pair-matrix near-duplicate scan
-// at increasing shard counts. The sharded path additionally specialises the
-// measure per scan (projection hoisting plus label-pair memoization), which
-// is where the single-core speedup comes from.
+// at increasing shard counts.
 func BenchmarkShardedDuplicates(b *testing.B) {
 	corpusSize := 10000
 	if testing.Short() {

@@ -3,10 +3,12 @@ package wfsim
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/workflow"
 )
 
 // internTestCorpus is small enough that the full measure sweep (including
@@ -119,6 +121,55 @@ func TestInternedEquivalenceWithStringBaseline(t *testing.T) {
 			}
 			if k0, kN := clusterKey(c0.Clusters), clusterKey(cN.Clusters); k0 != kN {
 				t.Fatalf("%s at %d shards: clustering differs\nbaseline: %s\ninterned: %s", m, n, k0, kN)
+			}
+		}
+	}
+}
+
+// TestScanScoresMatchDirectCompare: every read runs a scan-specialised
+// measure (projection hoisted and kept per shard snapshot, a shared
+// label-pair memo, the pooled MS kernel, per-scan projections inside
+// ensembles). Its scores must be the bits the plain measure's Compare
+// returns for the same pair in the same order, with and without
+// repository knowledge and under inline queries from outside the corpus.
+func TestScanScoresMatchDirectCompare(t *testing.T) {
+	ctx := context.Background()
+	c := internTestCorpus(t)
+	measureNames := append(CompareMeasures(),
+		"MS_ip_te_pll_greedy", "PS_np_tm_pw3",
+		"ensemble(BW, MS_ip_te_pll)", "ensemble(MS_np_ta_plm, ensemble(PS_ip_te_pll, BT))")
+	for _, knowledge := range []bool{false, true} {
+		opts := testShardOpts(t)
+		if knowledge {
+			opts = append(opts, WithRepositoryKnowledge(0))
+		}
+		eng, err := New(c.Repo, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wfs := c.Repo.Workflows()
+		inline := wfs[5].Clone()
+		inline.ID = "inline-query"
+		for _, name := range measureNames {
+			m, err := eng.ParseMeasure(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []*Workflow{wfs[0], wfs[19], inline} {
+				res, _, err := eng.Search(ctx, q, SearchOptions{Measure: name, K: len(wfs), Exact: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range res {
+					a, b := workflow.OrderPair(q, eng.Workflow(r.ID))
+					want, err := m.Compare(a, b)
+					if err != nil {
+						t.Fatalf("%s on (%s, %s): %v", name, a.ID, b.ID, err)
+					}
+					if math.Float64bits(r.Similarity) != math.Float64bits(want) {
+						t.Fatalf("knowledge=%v %s on (%s, %s): scan scored %v, Compare %v", knowledge, name, a.ID, b.ID, r.Similarity, want)
+					}
+				}
 			}
 		}
 	}

@@ -124,6 +124,14 @@ func (r *Registry) Register(name string, m Measure) error {
 	return nil
 }
 
+// isCustom reports whether name resolves to a registered custom measure.
+func (r *Registry) isCustom(name string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.custom[strings.TrimSpace(name)]
+	return ok
+}
+
 // Registered returns the names of custom measures, sorted.
 func (r *Registry) Registered() []string {
 	r.mu.RLock()

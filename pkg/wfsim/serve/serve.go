@@ -411,8 +411,8 @@ type batchResponse struct {
 	// Generation is the repository generation the batch committed under
 	// (the aggregate generation for a sharded engine).
 	Generation uint64 `json:"generation"`
-	// Generations is the post-batch per-shard generation vector; omitted for
-	// unsharded engines.
+	// Generations is the post-batch per-shard generation vector; omitted at
+	// one shard.
 	Generations []uint64 `json:"generations,omitempty"`
 	// Ops is the number of mutations in the committed batch.
 	Ops int `json:"ops"`
@@ -539,7 +539,7 @@ type statsResponse struct {
 	// across shards, for a sharded engine).
 	Generation uint64 `json:"generation"`
 	// Shards and Generations describe a sharded engine: the shard count and
-	// the per-shard generation vector. Omitted for unsharded engines.
+	// the per-shard generation vector. Omitted at one shard.
 	Shards      int      `json:"shards,omitempty"`
 	Generations []uint64 `json:"generations,omitempty"`
 	Workflows   int      `json:"workflows"`

@@ -443,16 +443,17 @@ func TestShardedStats(t *testing.T) {
 	if n := len(eng.Generations()); n != 4 {
 		t.Errorf("generation vector length %d, want 4", n)
 	}
-	// Unsharded engines report no shard blocks and a one-element vector.
-	e1, err := New(testCorpus(t).Repo)
+	// The default engine is one shard: one stats block holding the whole
+	// corpus, and a one-element vector.
+	e1, err := New(testCorpus(t).Repo, WithIndex(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.ShardStats() != nil {
-		t.Error("unsharded engine reports shard stats")
+	if infos := e1.ShardStats(); len(infos) != 1 || infos[0].Workflows != e1.Size() || infos[0].Index == nil {
+		t.Errorf("single-shard engine reports shard stats %+v, want one indexed block of %d workflows", infos, e1.Size())
 	}
 	if v := e1.Generations(); len(v) != 1 {
-		t.Errorf("unsharded generation vector length %d, want 1", len(v))
+		t.Errorf("single-shard generation vector length %d, want 1", len(v))
 	}
 }
 
@@ -461,12 +462,20 @@ func TestWithShardsValidation(t *testing.T) {
 	if _, err := New(c.Repo, WithShards(0)); err == nil {
 		t.Error("WithShards(0) accepted")
 	}
-	// WithShards(1) stays on the single-repository engine.
+	// WithShards(1) is the default: one shard owning the caller's
+	// repository, so Apply commits into it.
 	eng, err := New(c.Repo, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.ShardStats() != nil {
-		t.Error("WithShards(1) built a sharded engine")
+	if n := len(eng.ShardStats()); n != 1 || eng.Shards() != 1 {
+		t.Errorf("WithShards(1) built %d shard blocks (Shards() = %d), want 1", n, eng.Shards())
+	}
+	if _, err := eng.Apply(context.Background(), RemoveWorkflow(c.Repo.IDs()[0])); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Repository() != c.Repo || eng.Size() != c.Repo.Size() || eng.Generation() != c.Repo.Generation() {
+		t.Errorf("single shard does not own the caller's repository: engine %d workflows at generation %d, repository %d at %d",
+			eng.Size(), eng.Generation(), c.Repo.Size(), c.Repo.Generation())
 	}
 }

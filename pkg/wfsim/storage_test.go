@@ -2,8 +2,12 @@ package wfsim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -285,4 +289,112 @@ func TestWarmCacheStaleOnDifferentProjection(t *testing.T) {
 	if st, _ := eng2.StorageStats(); st.WarmCacheEntries != 0 {
 		t.Fatalf("warm cache re-seeded across a projection change: %d entries", st.WarmCacheEntries)
 	}
+}
+
+// TestFlatLayoutBootsOnOnePath: data directories in the flat layout boot on
+// the single-shard coordinator path with their state intact.
+//
+// testdata/flat-v2 was written by the flat single-repository engine that
+// preceded the coordinator path (24 generated workflows added in three
+// batches, one replace-and-remove batch, four searches, then Close);
+// testdata/flat-v2.json records what that engine reported: generation,
+// size, warm score-cache entries persisted at Close, and the top-5 results
+// (IDs and score bits) of each search. The v1 case boots a pre-symbol-table
+// fixture, then restarts it warm.
+func TestFlatLayoutBootsOnOnePath(t *testing.T) {
+	ctx := context.Background()
+	t.Run("v2", func(t *testing.T) {
+		var want struct {
+			Generation uint64 `json:"generation"`
+			Size       int    `json:"size"`
+			WarmCache  int    `json:"warm_cache_entries"`
+			Results    map[string][]struct {
+				ID   string `json:"id"`
+				Bits uint64 `json:"bits"`
+			} `json:"results"`
+		}
+		js, err := os.ReadFile(filepath.Join("testdata", "flat-v2.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(js, &want); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "flat-v2"))); err != nil {
+			t.Fatal(err)
+		}
+		eng := newStoredEngine(t, dir)
+		defer eng.Close()
+		if eng.Shards() != 1 || eng.Generation() != want.Generation || eng.Size() != want.Size {
+			t.Fatalf("booted %d shard(s) at generation %d with %d workflows, want 1 at %d with %d",
+				eng.Shards(), eng.Generation(), eng.Size(), want.Generation, want.Size)
+		}
+		if st, _ := eng.StorageStats(); st.WarmCacheEntries != want.WarmCache {
+			t.Errorf("warm cache entries %d, want %d", st.WarmCacheEntries, want.WarmCache)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "shards.json")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("flat directory gained a shard marker (stat err %v)", err)
+		}
+		for q, results := range want.Results {
+			got, stats, err := eng.SearchID(ctx, q, SearchOptions{K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(results) {
+				t.Fatalf("query %s: %d results, want %d", q, len(got), len(results))
+			}
+			for i, r := range results {
+				if got[i].ID != r.ID || math.Float64bits(got[i].Similarity) != r.Bits {
+					t.Errorf("query %s rank %d: (%s, %v), want (%s, %v)", q, i, got[i].ID, got[i].Similarity, r.ID, math.Float64frombits(r.Bits))
+				}
+			}
+			if stats.CacheMisses != 0 || stats.CacheHits == 0 {
+				t.Errorf("query %s not served warm: %d hits, %d misses", q, stats.CacheHits, stats.CacheMisses)
+			}
+		}
+	})
+	t.Run("v1", func(t *testing.T) {
+		dir := t.TempDir()
+		base := []*Workflow{
+			storageWorkflow("a", "fetch_sequence", "run_blast"),
+			storageWorkflow("b", "fetch_sequence", "plot_hits"),
+		}
+		tail := []*Workflow{storageWorkflow("c", "load_image", "segment_cells"), storageWorkflow("d", "fetch_sequences", "run_blastp")}
+		if err := storage.WriteLegacyFixture(dir, 2, base, tail); err != nil {
+			t.Fatal(err)
+		}
+		eng := newStoredEngine(t, dir)
+		if eng.Generation() != 4 || eng.Size() != 4 {
+			t.Fatalf("v1 boot at generation %d with %d workflows, want 4 and 4", eng.Generation(), eng.Size())
+		}
+		first, _, err := eng.SearchID(ctx, "a", SearchOptions{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		eng2 := newStoredEngine(t, dir)
+		defer eng2.Close()
+		if st, _ := eng2.StorageStats(); eng2.Generation() != 4 || eng2.Size() != 4 || st.WarmCacheEntries == 0 {
+			t.Fatalf("restart at generation %d with %d workflows and %d warm entries, want 4, 4 and some",
+				eng2.Generation(), eng2.Size(), st.WarmCacheEntries)
+		}
+		again, stats, err := eng2.SearchID(ctx, "a", SearchOptions{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again) != len(first) {
+			t.Fatalf("restart returned %d results, want %d", len(again), len(first))
+		}
+		for i := range first {
+			if again[i] != first[i] {
+				t.Errorf("restart rank %d: %+v, want %+v", i, again[i], first[i])
+			}
+		}
+		if stats.CacheMisses != 0 {
+			t.Errorf("restart search missed the warm cache %d times", stats.CacheMisses)
+		}
+	})
 }
